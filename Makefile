@@ -27,13 +27,15 @@ race:
 cluster-parity:
 	$(GO) test -race -count=1 -run 'TestClusterParity|TestClusterCheckpointReshard|TestMigrationRace|TestAsyncCheckpointByteEquivalence|TestAsyncCheckpointCrashRestore' ./internal/cluster/
 
-## incremental-parity: the per-slot decision-cost correctness gate — the
-## oracle differentials proving the dirty-component incremental cache and
-## the LP-free local-ratio fast path emit decision streams identical to
-## the full stable re-solve, plus the dirty-set edge-case suite, all
-## under the race detector (same as the CI incremental-parity job).
+## incremental-parity: the single solve path's correctness gate — the
+## oracle differentials proving the production path (dirty-component
+## cache + local-ratio fast path + warm LP) emits the decision stream of
+## the oracle-only references (re-solve every component every slot; LP
+## without the fast path) and stays worker-count invariant online and
+## offline, plus the dirty-set edge-case suite, all under the race
+## detector (same as the CI incremental-parity job).
 incremental-parity:
-	$(GO) test -race -count=1 -run 'TestDiffIncrementalFull|TestDiffLocalRatioLP|TestIncCache' ./internal/oracle/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestDiffIncremental|TestDiffLocalRatioLP|FuzzDirtySet|TestDiffParallelSequential|TestIncCache' ./internal/oracle/ ./internal/core/
 
 ## drift: the adaptivity correctness gate — seeded regret-bound
 ## assertions proving the drift-aware policies beat stationary UCB1 on
@@ -81,9 +83,7 @@ bench:
 ## meaningful against a baseline recorded on the same machine; allocs/op
 ## is deterministic everywhere. CI runs the same gate A/B against the
 ## merge base on one runner (bench-regression job). The incremental
-## gate protects only the fast modes: mode=full and mode=lp are the
-## deliberately slow contrast baselines, and the full re-solve's LP
-## jitter would trip the 10% gate on noise alone.
+## gate covers the production solve path's sub-benchmarks.
 bench-check:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeSlot' -benchtime 1000x -benchmem . \
 		| $(GO) run ./cmd/benchjson -tee -out bench-new.json

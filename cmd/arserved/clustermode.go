@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -109,7 +108,7 @@ func runClusterServe(ccfg cluster.Config, addr string, drainAfter time.Duration,
 		_ = c.Stop()
 		return err
 	}
-	srv := &http.Server{Handler: cluster.Handler(c)}
+	srv := newHTTPServer(cluster.Handler(c))
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- srv.Serve(ln) }()
 

@@ -56,11 +56,33 @@ func main() {
 // matches DynamicRR's default threshold discretization.
 const banditKappa = 16
 
+// HTTP server timeouts. Without them a client that trickles its headers,
+// stalls mid-body, or parks an idle keep-alive connection holds a
+// goroutine and a file descriptor forever. ReadTimeout covers the whole
+// request including the body, so it leaves room for the largest NDJSON
+// batch over a slow link; no WriteTimeout is set, because a pprof CPU
+// profile legitimately streams for as long as it was asked to.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer wraps h in a server with the daemon's timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("arserved", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, local-ratio, ocorp, greedy, heukkt")
+		schedName  = fs.String("scheduler", "dynamicrr", "scheduler: dynamicrr, ocorp, greedy, heukkt")
 		banditSpec = fs.String("bandit", "", "arm policy for dynamicrr: se, ucb1, sw-ucb[:w], d-ucb[:g], exp3s[:g[,a]], restart:<inner> (empty = se; a restored checkpoint wins)")
 		stations   = fs.Int("stations", 20, "number of base stations (generated topology)")
 		scenIn     = fs.String("scenario-in", "", "load the topology from this scenario JSON instead of generating one")
@@ -77,7 +99,6 @@ func run(args []string, out io.Writer) error {
 		replayRate = fs.Int("requests-per-30fps", 1, "replay: requests per second per 30 fps of trace")
 		replayDump = fs.String("replay-dump", "", "replay: write per-slot admission decisions as JSON to this file")
 		workers    = fs.Int("workers", 1, "concurrent component solves per slot LP (dynamicrr only; decisions are identical for every value)")
-		increment  = fs.Bool("incremental", false, "reuse cached decisions of unchanged candidate-graph components between slots (dynamicrr/local-ratio; decisions are identical to a full re-solve)")
 		clShards   = fs.Int("cluster-shards", 0, "run N scheduler shards behind the cluster router (0 = single engine)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
 		blockRate  = fs.Int("block-profile", 0, "blocking-profile sample threshold in ns for /debug/pprof/block (1 = every event, 0 = off; needs -pprof-addr)")
@@ -136,7 +157,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("pprof listener: %w", err)
 		}
-		psrv := &http.Server{Handler: http.DefaultServeMux}
+		psrv := newHTTPServer(http.DefaultServeMux)
 		go func() {
 			if err := psrv.Serve(pln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(out, "arserved: pprof server: %v\n", err)
@@ -146,12 +167,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "arserved: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	// The engine flips LocalRatio on when the scheduler name is
-	// "local-ratio"; the daemon only forwards the worker count, the
-	// incremental toggle, and an optional -bandit arm policy. A
-	// checkpointed bandit snapshot overrides the policy on restore, so
-	// learning resumes rather than restarting.
-	drrOpts := sim.DynamicRROptions{Workers: *workers, Incremental: *increment}
+	// The daemon only forwards the worker count and an optional -bandit
+	// arm policy. A checkpointed bandit snapshot overrides the policy on
+	// restore, so learning resumes rather than restarting.
+	drrOpts := sim.DynamicRROptions{Workers: *workers}
 	if *banditSpec != "" {
 		// Validate the spec up front so a typo fails at startup, then
 		// pass the spec (not an instance) so cluster shards each parse
@@ -293,7 +312,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.Handler(eng)}
+	srv := newHTTPServer(serve.Handler(eng))
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- srv.Serve(ln) }()
 

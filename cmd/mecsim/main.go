@@ -8,7 +8,7 @@
 //
 // Experiments: fig3, fig4, fig5, fig6, regret, learning, drift, exactgap,
 // ablation-rounding, ablation-kappa, ablation-policy, ablation-slotsize,
-// ablation-discretization, ablation-rewardmodel, decision-cost, all.
+// ablation-discretization, ablation-rewardmodel, all.
 package main
 
 import (
@@ -98,7 +98,6 @@ func run(args []string, out io.Writer) (err error) {
 		{"ablation-discretization", experiment.AblationDiscretization},
 		{"exactgap", experiment.ExactGap},
 		{"ablation-rewardmodel", experiment.AblationRewardModel},
-		{"decision-cost", experiment.DecisionCost},
 	}
 
 	ran := false

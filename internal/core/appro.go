@@ -130,7 +130,7 @@ func runRounding(n *mec.Network, reqs []*mec.Request, rng *rand.Rand, opts Appro
 			capOf:        capOf,
 			slotMHz:      slotMHz,
 			slotLengthMS: opts.SlotLengthMS,
-			names:        opts.Warm.nameTable(),
+			byIndex:      true,
 		}, solveCfg{warm: opts.Warm, pass: pass, workers: opts.Workers}, sc, &sc.merged)
 		if err != nil {
 			return nil, err

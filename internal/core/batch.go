@@ -46,26 +46,14 @@ type BatchOptions struct {
 	// block-diagonal LP-PT concurrently (0 or 1 = serial). Decisions are
 	// bit-identical for every value.
 	Workers int
-	// Inc, when non-nil, enables the incremental re-solve: connected
-	// components of the candidate graph whose exact LP input signature is
-	// unchanged since the cached solve are clean and reuse the cached
-	// canonical decision; only dirty components touch the LP. Decisions
-	// are identical to a full re-solve of every component
-	// (oracle.DiffIncrementalFull pins the contract).
+	// Inc, when non-nil, is the dirty-component tracker carried across
+	// slots: connected components of the candidate graph whose exact LP
+	// input signature is unchanged since the cached solve are clean and
+	// replay the cached decision; only dirty components are solved, by
+	// the local-ratio fast path when its certificate holds and by the
+	// warm-started LP-PT otherwise. Decisions are identical to re-solving
+	// every component (oracle.DiffIncrementalFull pins the contract).
 	Inc *IncCache
-	// LocalRatio enables the LP-free local-ratio fast path on dirty
-	// components: when its certificate proves the component uncontended
-	// (unique argmax per request, one-hot point feasible), the schedule is
-	// emitted combinatorially; otherwise the warm-started LP-PT runs.
-	// Decisions are identical either way (oracle.DiffLocalRatioLP).
-	LocalRatio bool
-	// StableLP forces the renaming-invariant solve mode (positional LP
-	// variable names, exact-shard warm seeds) without reusing any cached
-	// decision. Inc and LocalRatio imply it; on its own it is the
-	// full-resolve-every-slot baseline the oracle differentials compare
-	// the incremental and fast-path runs against. The default (all three
-	// off) keeps the historical naming and nearest-shard warm fallback.
-	StableLP bool
 }
 
 // ScheduleBatch admits requests from opts.Active into the network using
@@ -127,15 +115,7 @@ func ScheduleBatch(n *mec.Network, reqs []*mec.Request, res *Result, rng *rand.R
 			shareCapFor:  opts.ShareCapMBs,
 			waitSlots:    opts.WaitSlots,
 			slotLengthMS: opts.SlotLengthMS,
-			names:        opts.Warm.nameTable(),
-		}, solveCfg{
-			warm:    opts.Warm,
-			pass:    pass,
-			workers: opts.Workers,
-			inc:     opts.Inc,
-			fast:    opts.LocalRatio,
-			stable:  opts.StableLP,
-		}, sc, &sc.merged)
+		}, solveCfg{warm: opts.Warm, pass: pass, workers: opts.Workers, inc: opts.Inc}, sc, &sc.merged)
 		if err != nil {
 			return totalAdmitted, err
 		}

@@ -42,12 +42,10 @@ func hasCandidate(n *mec.Network, r *mec.Request, i, wait int, capI, slotMHz, sl
 // preserve ascending-station and caller-active order respectively — the
 // orderings the deterministic merge in solveDecomposed relies on.
 //
-// When record is set, the scan additionally captures each active
-// request's candidate station list (sc.cands/sc.candOff, indexed by
-// active position via sc.posOf) — the incremental signatures and the
-// local-ratio certification consume them, and recording during this scan
-// means candidacy is never recomputed.
-func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch, record bool) []component {
+// The scan also captures each active request's candidate station list
+// (sc.cands/sc.candOff, indexed by active position via sc.posOf) for the
+// incremental signatures, so candidacy is never recomputed.
+func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *slotScratch) []component {
 	nS := n.NumStations()
 	parent := growInts(&sc.parent, nS)
 	for i := range parent {
@@ -77,31 +75,23 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 	if capOf == nil {
 		capOf = n.Capacity
 	}
-	var cands []int
-	var candOff, posOf []int
-	if record {
-		cands = sc.cands[:0]
-		candOff = growInts(&sc.candOff, len(opts.active)+1)
-		posOf = growInts(&sc.posOf, len(reqs))
-	}
+	cands := sc.cands[:0]
+	candOff := growInts(&sc.candOff, len(opts.active)+1)
+	posOf := growInts(&sc.posOf, len(reqs))
 	for k, j := range opts.active {
 		r := reqs[j]
 		wait := 0
 		if opts.waitSlots != nil {
 			wait = opts.waitSlots(j)
 		}
-		if record {
-			candOff[k] = len(cands)
-			posOf[j] = k
-		}
+		candOff[k] = len(cands)
+		posOf[j] = k
 		first := -1
 		for i := 0; i < nS; i++ {
 			if !hasCandidate(n, r, i, wait, capOf(i), opts.slotMHz, opts.slotLengthMS) {
 				continue
 			}
-			if record {
-				cands = append(cands, i)
-			}
+			cands = append(cands, i)
 			stUsed[i] = true
 			if first < 0 {
 				first = i
@@ -111,10 +101,8 @@ func splitComponents(n *mec.Network, reqs []*mec.Request, opts lpOptions, sc *sl
 		}
 		firstOf[k] = first
 	}
-	if record {
-		candOff[len(opts.active)] = len(cands)
-		sc.cands = cands
-	}
+	candOff[len(opts.active)] = len(cands)
+	sc.cands = cands
 
 	// Components materialize in ascending-min-station order because the
 	// station scan below runs ascending and creates each component at its
@@ -185,15 +173,14 @@ type compSolve struct {
 	// cached, when non-nil, is the incremental cache entry this clean
 	// component reuses instead of solving anything.
 	cached *incEntry
-	// canonY/canonObj is the canonical solution stored back into the
-	// incremental cache: for an LP solve, the result of re-solving from
-	// this solve's own optimal basis — bit-for-bit what a full re-solve
-	// of the unchanged component computes next slot, because next slot's
-	// warm seed IS this basis; for the deterministic fast path, the
-	// solution itself.
-	canonY   []float64
-	canonObj float64
-	err      error
+	// settle marks the re-solve of a non-canonical cache entry whose
+	// signature matched: it is seeded from that entry's own optimal basis,
+	// so its result is what every later re-solve computes (see incEntry).
+	settle bool
+	// canonical reports that y may be replayed on the next signature
+	// match; set by the solve.
+	canonical bool
+	err       error
 }
 
 // solveCfg bundles the solver-side knobs of solveDecomposed (the LP-side
@@ -202,43 +189,33 @@ type solveCfg struct {
 	warm    *WarmCache
 	pass    int
 	workers int
-	// inc enables the incremental re-solve when non-nil and caching (a
-	// counters-only IncCache tracks the fast path without reusing
-	// decisions — see NewIncCounters).
+	// inc is the dirty-component tracker; nil solves every component and
+	// caches nothing (offline Appro/Heu).
 	inc *IncCache
-	// fast enables the local-ratio fast path on dirty components.
-	fast bool
-	// stable selects the renaming-invariant solve mode: positional
-	// variable names and exact-shard warm seeds. In this mode a
-	// component whose shape repeats across slots produces a bit-identical
-	// LP regardless of global request ids — the property the incremental
-	// clean check and the fast-path/LP parity proofs stand on. inc and
-	// fast imply it; the oracle baselines set it alone so a
-	// full-resolve-every-slot run stays decision-comparable to an
-	// incremental run. Off (the default) preserves the historical global
-	// naming and nearest-shard fallback bit for bit.
-	stable bool
 }
 
 // solveDecomposed builds and solves the slot LP component by component on
-// a bounded worker pool, each component warm-started from its own shard's
-// basis, and merges the results into m in ascending component-key order.
-// The merged output is bit-identical for every workers value: components
-// are solved independently (the LP is block-diagonal) and the merge order
-// is fixed, so parallelism changes wall-clock time and nothing else.
+// a bounded worker pool and merges the results into m in ascending
+// component-key order. The merged output is bit-identical for every
+// workers value: components are solved independently (the LP is
+// block-diagonal) and the merge order is fixed, so parallelism changes
+// wall-clock time and nothing else.
 //
-// In stable mode (see solveCfg), additionally:
+// Each component goes down the first of three paths that applies:
 //
-//   - cfg.inc caching enables the incremental re-solve: components whose
-//     exact input signature matches the cached one are *clean* and reuse
-//     the cached canonical solution without building an LP; dirty
-//     components are solved (LP result used for this slot, same as a full
-//     run), then canonicalized and cached. A full-resolve run and an
-//     incremental run therefore agree decision for decision — the oracle
-//     differential DiffIncrementalFull pins that contract.
-//   - cfg.fast enables the LP-free fast path on dirty components: when
-//     tryLocalRatio's certificate holds, its schedule is provably the
-//     unique LP optimum and is used (and cached) directly.
+//  1. Clean: its exact input signature matches the canonical entry cfg.inc
+//     cached under the same (pass, shard) key, so the LP would be
+//     bit-identical to the one that entry solves and the cached decision
+//     is replayed without building anything.
+//  2. Local ratio: tryLocalRatio's certificate holds, so its schedule is
+//     provably the unique LP optimum and is used directly.
+//  3. LP: the component's positional LP is built and solved, warm-started
+//     from the basis its own shard stored last time.
+//
+// Solved components are cached for the next slot. Replaying a clean
+// component and re-solving it agree decision for decision — the oracle
+// differentials DiffIncrementalFull (against re-solving every slot) and
+// DiffLocalRatioLP (against the LP alone) pin that contract.
 func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg solveCfg, sc *slotScratch, m *mergedModel) error {
 	if opts.slotLengthMS == 0 {
 		opts.slotLengthMS = mec.DefaultSlotLengthMS
@@ -256,15 +233,13 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		}
 		opts.active = all
 	}
-	if cfg.inc != nil || cfg.fast {
-		cfg.stable = true
-	}
+	opts.names = cfg.warm.nameTable()
 	inc := cfg.inc
-	caching := inc != nil && inc.entries != nil
+	caching := inc.reuses()
+	fast := inc.tryFast()
 	warm, pass := cfg.warm, cfg.pass
 	m.reset(len(reqs))
-	record := caching || cfg.fast
-	comps := splitComponents(n, reqs, opts, sc, record)
+	comps := splitComponents(n, reqs, opts, sc)
 	if len(comps) == 0 {
 		return nil
 	}
@@ -274,9 +249,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 
 	// Clean check, sequential and before the workers: build each
 	// component's exact signature and compare it word-for-word against
-	// the cached entry under the same (pass, shard) key. A match means
-	// the component's LP would be bit-identical to the one the cached
-	// canonical solution solves, so the solve is skipped entirely.
+	// the cached entry under the same (pass, shard) key.
 	var sigOff []int
 	if caching {
 		sc.sigs = sc.sigs[:0]
@@ -288,32 +261,25 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		sigOff[len(comps)] = len(sc.sigs)
 		for k := range comps {
 			sig := sc.sigs[sigOff[k]:sigOff[k+1]]
-			if e := inc.get(pass, comps[k].key); e != nil && wordsEqual(e.sig, sig) {
-				results[k] = compSolve{cached: e}
+			e := inc.get(pass, comps[k].key)
+			match := e != nil && wordsEqual(e.sig, sig)
+			if match && e.canonical {
+				results[k].cached = e
 				inc.cleanHits.Add(1)
-			} else {
-				inc.dirtySolves.Add(1)
+				continue
 			}
+			results[k].settle = match
+			inc.dirtySolves.Add(1)
 		}
 	}
 
 	// Resolve every dirty component's warm-start seed before the workers
 	// launch, against a fixed pre-pass cache snapshot: that keeps the
 	// seeds — and therefore the chosen optimal vertices — identical for
-	// every worker count. In stable mode lookups are exact-shard only: a
-	// nearest-shard basis would resolve onto a different component's
-	// positionally-named requests and churn the chosen vertex from slot
-	// to slot, and the incremental parity argument leans on each
-	// component re-seeding from its own previous basis.
+	// every worker count.
 	for k := range comps {
-		if results[k].cached != nil {
-			seeds[k] = nil
-			continue
-		}
-		if cfg.stable {
+		if results[k].cached == nil {
 			seeds[k] = warm.get(pass, comps[k].key)
-		} else {
-			seeds[k] = warm.getNear(pass, comps[k].key)
 		}
 	}
 	solveOne := func(k int) {
@@ -325,11 +291,10 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 		copts.active = comp.reqs
 		copts.stations = comp.stations
 		copts.byReq = m.byReq // disjoint request sets: no write overlap
-		copts.positional = cfg.stable
-		if cfg.fast {
+		if fast {
 			if vars, y, obj, ok := tryLocalRatio(n, reqs, comp, copts); ok {
 				inc.addFastPath()
-				results[k] = compSolve{vars: vars, y: y, obj: obj, canonY: y, canonObj: obj}
+				results[k] = compSolve{vars: vars, y: y, obj: obj, canonical: true}
 				return
 			}
 			inc.addFastFallback()
@@ -345,22 +310,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			return
 		}
 		warm.put(pass, comp.key, basis)
-		cs := compSolve{vars: model.vars, y: y, obj: obj}
-		if caching {
-			// Canonicalize: next slot, if this component is clean, the
-			// full-resolve baseline computes solveWarm(basis) on the
-			// bit-identical problem. Cache exactly that result so clean
-			// reuse and full re-solve can never drift apart (re-seeding
-			// an optimal basis pivots zero times, so the slot after next
-			// re-captures this same basis, and so on).
-			cy, cobj, _, cerr := model.solveWarm(basis)
-			if cerr != nil {
-				results[k] = compSolve{err: cerr}
-				return
-			}
-			cs.canonY, cs.canonObj = cy, cobj
-		}
-		results[k] = cs
+		results[k] = compSolve{vars: model.vars, y: y, obj: obj, canonical: warm == nil || results[k].settle}
 	}
 	forEachParallel(len(comps), cfg.workers, solveOne)
 
@@ -396,7 +346,7 @@ func solveDecomposed(n *mec.Network, reqs []*mec.Request, opts lpOptions, cfg so
 			}
 		}
 		if caching {
-			inc.put(pass, comps[k].key, sc.sigs[sigOff[k]:sigOff[k+1]], r.vars, comps[k].reqs, r.canonY, r.canonObj)
+			inc.put(pass, comps[k].key, sc.sigs[sigOff[k]:sigOff[k+1]], r.vars, comps[k].reqs, r.y, r.obj, r.canonical)
 		}
 	}
 	return nil

@@ -77,7 +77,7 @@ func TestSplitComponentsPartition(t *testing.T) {
 		active:       active,
 		slotMHz:      n.SlotMHz(),
 		slotLengthMS: mec.DefaultSlotLengthMS,
-	}, sc, false)
+	}, sc)
 	if len(comps) == 0 {
 		t.Fatal("no components over a dense workload")
 	}

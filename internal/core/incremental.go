@@ -30,29 +30,38 @@ type IncStats struct {
 // incEntry is one cached per-component decision: the exact LP input
 // signature it is valid for, the solved variables in *position space*
 // (slotVar.req is the request's position within the component's request
-// list, not a global index), the canonical fractional solution, and its
-// objective. Position space makes the entry independent of the global
-// request ids of the slot that produced it: a later slot whose component
-// has the same shape reuses it even though every request id changed.
+// list, not a global index), the fractional solution, and its objective.
+// Position space makes the entry independent of the global request ids of
+// the slot that produced it: a later slot whose component has the same
+// shape reuses it even though every request id changed.
 type incEntry struct {
 	sig  []uint64
 	vars []slotVar
 	y    []float64
 	obj  float64
+	// canonical reports that y is bit-for-bit what a re-solve of the
+	// unchanged component computes, so a signature match may replay it.
+	// The fast path's schedule is canonical (a pure function of the
+	// signature), and so is a cold LP solve. A warm LP solve seeded from
+	// another problem's basis is not: the next re-solve, seeded from this
+	// solve's own optimal basis, pivots zero times but may round the last
+	// bits differently. Such an entry is solved once more on its next
+	// signature match — exactly the solve a scheduler without the cache
+	// runs — and only that result is replayed from then on.
+	canonical bool
 }
 
 // IncCache is the dirty-component tracker of the incremental scheduler.
 // It files one entry per (rounding pass, component shard) — the same keys
 // the WarmCache uses — holding the component's full LP input signature
-// and its canonical solution. A component is *clean* when its signature
-// this slot is bit-identical to the cached one: every quantity the LP is
-// built from (slot grid, residual capacities, share caps, candidate
-// stations, demand distributions) is unchanged, so the LP itself is
-// bit-identical and the cached solution IS the solution the full re-solve
-// would compute. Everything else — an arrival, a departure, a realized
-// rate that moved the residual capacity, a C^th change that reshaped the
-// admissible set — flips some word of the signature and marks the
-// component dirty.
+// and its solution. A component is *clean* when its signature this slot
+// is bit-identical to the cached one: every quantity the LP is built from
+// (slot grid, residual capacities, share caps, candidate stations, demand
+// distributions) is unchanged, so the LP itself is bit-identical and the
+// cached canonical solution IS the solution a re-solve would compute.
+// Everything else — an arrival, a departure, a realized rate that moved
+// the residual capacity, a C^th change that reshaped the admissible set —
+// flips some word of the signature and marks the component dirty.
 //
 // The entry map is only touched by the scheduling goroutine (the
 // clean-check before the solver workers launch and the put after the
@@ -64,6 +73,7 @@ type IncCache struct {
 	fastPath     atomic.Uint64
 	fastFallback atomic.Uint64
 
+	ref     Reference
 	entries map[warmKey]*incEntry
 }
 
@@ -72,14 +82,31 @@ func NewIncCache() *IncCache {
 	return &IncCache{entries: make(map[warmKey]*incEntry)}
 }
 
-// NewIncCounters returns a counters-only tracker: the local-ratio
-// fast-path statistics are recorded but no decision is ever cached or
-// reused. A LocalRatio-only run uses it so FastPath/FastFallback stay
-// observable (the oracle's all-certified assertion depends on them)
-// without pulling in the incremental machinery.
-func NewIncCounters() *IncCache {
-	return &IncCache{}
-}
+// Reference selects a slower solve that the production path must agree
+// with decision for decision. The oracle differentials (internal/oracle)
+// are its only users: no option, flag or facade reaches it.
+type Reference uint8
+
+const (
+	// NoReuse re-solves every component every slot, as a scheduler
+	// without the dirty-component cache would.
+	NoReuse Reference = 1 << iota
+	// LPOnly skips the local-ratio fast path: every solved component
+	// runs the warm-started LP.
+	LPOnly
+)
+
+// UseReference switches the tracker to the reference solve r. Call it
+// before the first solve.
+func (c *IncCache) UseReference(r Reference) { c.ref = r }
+
+// reuses reports whether clean components replay cached decisions.
+// Nil-safe: no tracker means every component is solved.
+func (c *IncCache) reuses() bool { return c != nil && c.ref&NoReuse == 0 }
+
+// tryFast reports whether dirty components try the local-ratio
+// certificate before the LP. Nil-safe.
+func (c *IncCache) tryFast() bool { return c == nil || c.ref&LPOnly == 0 }
 
 // Stats returns the cache's clean/dirty/fast-path counters. Nil-safe.
 func (c *IncCache) Stats() IncStats {
@@ -95,8 +122,8 @@ func (c *IncCache) Stats() IncStats {
 }
 
 // addFastPath / addFastFallback bump the local-ratio counters from the
-// solver workers. Nil-safe: a run with the fast path on but the
-// incremental cache off simply goes uncounted.
+// solver workers. Nil-safe: a solve without a tracker (offline Appro/Heu)
+// goes uncounted.
 func (c *IncCache) addFastPath() {
 	if c != nil {
 		c.fastPath.Add(1)
@@ -117,10 +144,8 @@ func (c *IncCache) get(pass, shard int) *incEntry {
 // put stores a freshly solved component: sig is copied, vars are
 // converted from global request indices to positions within compReqs
 // (which lists the component's requests in the order the LP was built
-// over), and y/obj are the canonical solution — the one a warm re-solve
-// from this solve's own optimal basis produces, i.e. exactly what a full
-// re-solve of the unchanged component computes next slot.
-func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs []int, y []float64, obj float64) {
+// over), and y/obj are the solution, canonical or not (see incEntry).
+func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs []int, y []float64, obj float64, canonical bool) {
 	k := warmKey{pass: pass, shard: shard}
 	e := c.entries[k]
 	if e == nil {
@@ -140,6 +165,7 @@ func (c *IncCache) put(pass, shard int, sig []uint64, vars []slotVar, compReqs [
 	}
 	e.y = append(e.y[:0], y...)
 	e.obj = obj
+	e.canonical = canonical
 }
 
 // appendCompSig appends one component's exact LP input vector to buf:

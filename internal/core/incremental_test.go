@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mecoffload/internal/graph"
 	"mecoffload/internal/mec"
 	"mecoffload/internal/topology"
+	"mecoffload/internal/workload"
 )
 
 // incTestNetwork builds the two-station bridge network the dirty-set edge
@@ -62,7 +64,7 @@ func incTestRequest(t *testing.T, id, station int, deadlineMS, reward float64) *
 // a fixed per-slot rng so repeated slots draw identically. Passes: 1 keeps
 // every cache entry on pass 0, making the clean/dirty counters count
 // components one-for-one.
-func incSlot(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, baseUsed []float64, inc *IncCache, stable bool) *Result {
+func incSlot(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, baseUsed []float64, inc *IncCache) *Result {
 	t.Helper()
 	used := append([]float64(nil), baseUsed...)
 	res := &Result{Algorithm: "inc-test", Decisions: make([]Decision, len(reqs))}
@@ -72,7 +74,6 @@ func incSlot(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, ba
 		RoundingDenominator: 1,
 		Passes:              1,
 		Inc:                 inc,
-		StableLP:            stable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,11 +98,11 @@ func requireStats(t *testing.T, inc *IncCache, before IncStats, wantClean, wantD
 }
 
 // requireParity asserts an incremental slot's decisions are identical to a
-// full StableLP re-solve of the same slot (the per-slot refinement of the
+// re-solve of the same slot without the cache (the per-slot refinement of the
 // end-to-end oracle.DiffIncrementalFull contract).
 func requireParity(t *testing.T, n *mec.Network, reqs []*mec.Request, active []int, baseUsed []float64, got *Result, slot string) {
 	t.Helper()
-	want := incSlot(t, n, reqs, active, baseUsed, nil, true)
+	want := incSlot(t, n, reqs, active, baseUsed, nil)
 	if !reflect.DeepEqual(got.Decisions, want.Decisions) {
 		t.Fatalf("%s: incremental decisions diverge from full re-solve:\n inc: %+v\nfull: %+v",
 			slot, got.Decisions, want.Decisions)
@@ -123,10 +124,10 @@ func TestIncCacheFeedbackOnlySlotStaysClean(t *testing.T) {
 	inc := NewIncCache()
 
 	st := inc.Stats()
-	incSlot(t, n, reqs, []int{0, 1}, used, inc, false)
+	incSlot(t, n, reqs, []int{0, 1}, used, inc)
 	st = requireStats(t, inc, st, 0, 2, "slot 1 (cold cache)")
 
-	res := incSlot(t, n, reqs, []int{0, 1}, used, inc, false)
+	res := incSlot(t, n, reqs, []int{0, 1}, used, inc)
 	requireStats(t, inc, st, 2, 0, "slot 2 (feedback-only)")
 	requireParity(t, n, reqs, []int{0, 1}, used, res, "slot 2")
 	for j := range reqs {
@@ -152,16 +153,16 @@ func TestIncCacheDepartureDirtiesComponent(t *testing.T) {
 	inc := NewIncCache()
 
 	st := inc.Stats()
-	incSlot(t, n, reqs, []int{0, 1, 2}, used, inc, false)
+	incSlot(t, n, reqs, []int{0, 1, 2}, used, inc)
 	st = requireStats(t, inc, st, 0, 2, "slot 1 (cold cache)")
 
 	// Request 0 departs: station 0's component shrinks (dirty), station
 	// 1's is untouched (clean).
-	res := incSlot(t, n, reqs, []int{1, 2}, used, inc, false)
+	res := incSlot(t, n, reqs, []int{1, 2}, used, inc)
 	st = requireStats(t, inc, st, 1, 1, "slot 2 (departure)")
 	requireParity(t, n, reqs, []int{1, 2}, used, res, "slot 2")
 
-	res = incSlot(t, n, reqs, []int{1, 2}, used, inc, false)
+	res = incSlot(t, n, reqs, []int{1, 2}, used, inc)
 	requireStats(t, inc, st, 2, 0, "slot 3 (post-departure steady state)")
 	requireParity(t, n, reqs, []int{1, 2}, used, res, "slot 3")
 }
@@ -184,21 +185,21 @@ func TestIncCacheBridgeMergesAndSplits(t *testing.T) {
 	inc := NewIncCache()
 
 	st := inc.Stats()
-	incSlot(t, n, reqs, []int{0, 1}, used, inc, false)
+	incSlot(t, n, reqs, []int{0, 1}, used, inc)
 	st = requireStats(t, inc, st, 0, 2, "slot 1 (two islands)")
 
 	// The bridge arrives: one merged component, necessarily dirty.
-	res := incSlot(t, n, reqs, []int{0, 1, 2}, used, inc, false)
+	res := incSlot(t, n, reqs, []int{0, 1, 2}, used, inc)
 	st = requireStats(t, inc, st, 0, 1, "slot 2 (merged by bridge)")
 	requireParity(t, n, reqs, []int{0, 1, 2}, used, res, "slot 2")
 
 	// The bridge departs: the islands reappear. Key 0 was overwritten by
 	// the merged solve (dirty again); key 1 still holds slot 1's entry.
-	res = incSlot(t, n, reqs, []int{0, 1}, used, inc, false)
+	res = incSlot(t, n, reqs, []int{0, 1}, used, inc)
 	st = requireStats(t, inc, st, 1, 1, "slot 3 (split)")
 	requireParity(t, n, reqs, []int{0, 1}, used, res, "slot 3")
 
-	res = incSlot(t, n, reqs, []int{0, 1}, used, inc, false)
+	res = incSlot(t, n, reqs, []int{0, 1}, used, inc)
 	requireStats(t, inc, st, 2, 0, "slot 4 (post-split steady state)")
 	requireParity(t, n, reqs, []int{0, 1}, used, res, "slot 4")
 }
@@ -218,18 +219,80 @@ func TestIncCacheCapacityChangeInvalidates(t *testing.T) {
 	inc := NewIncCache()
 
 	st := inc.Stats()
-	incSlot(t, n, reqs, []int{0, 1}, []float64{0, 0}, inc, false)
+	incSlot(t, n, reqs, []int{0, 1}, []float64{0, 0}, inc)
 	st = requireStats(t, inc, st, 0, 2, "slot 1 (cold cache)")
 
 	// 500 MHz lands on station 0 (a long-running admission elsewhere):
 	// its component's residual capacity changes, so the cached decision
 	// must not be replayed; station 1 is untouched.
 	loaded := []float64{500, 0}
-	res := incSlot(t, n, reqs, []int{0, 1}, loaded, inc, false)
+	res := incSlot(t, n, reqs, []int{0, 1}, loaded, inc)
 	st = requireStats(t, inc, st, 1, 1, "slot 2 (capacity change)")
 	requireParity(t, n, reqs, []int{0, 1}, loaded, res, "slot 2")
 
-	res = incSlot(t, n, reqs, []int{0, 1}, loaded, inc, false)
+	res = incSlot(t, n, reqs, []int{0, 1}, loaded, inc)
 	requireStats(t, inc, st, 2, 0, "slot 3 (new level cached)")
 	requireParity(t, n, reqs, []int{0, 1}, loaded, res, "slot 3")
+}
+
+// TestIncCacheReplayIsBitExact pins the canonical-entry rule below the
+// decision level: every slot, the fractional solution the production
+// path merges (replayed or solved) must equal, bit for bit, what the
+// NoReuse reference computes by re-solving every component. A warm LP
+// solve seeded from another problem's basis is not replayable as is —
+// re-solving from its own optimal basis can round the last bits
+// differently — so the slot sequence alternates between two request sets
+// of an LP-PT slot (residual capacities, share caps): each switch seeds
+// the new set from the other set's basis, the first repeat must re-solve,
+// and only the second repeat may replay.
+func TestIncCacheReplayIsBitExact(t *testing.T) {
+	const stations = 4
+	n, err := mec.RandomNetwork(stations, 3000, 3600, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(workload.Config{NumRequests: 40, NumStations: stations}, rand.New(rand.NewSource(1001)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := []float64{400, 1100, 0, 700}
+	opts := lpOptions{
+		capOf:       func(i int) float64 { return n.Capacity(i) - used[i] },
+		shareCapFor: func(i int) float64 { return n.Capacity(i) / 20 / n.CUnit() },
+	}
+	first, second := make([]int, 20), make([]int, 20)
+	for j := range first {
+		first[j], second[j] = j, 20+j
+	}
+	prod, ref := NewIncCache(), NewIncCache()
+	ref.UseReference(NoReuse)
+	prodWarm, refWarm := NewWarmCache(), NewWarmCache()
+	solve := func(active []int, inc *IncCache, warm *WarmCache) ([]slotVar, []float64) {
+		sc := getSlotScratch()
+		defer putSlotScratch(sc)
+		o := opts
+		o.active = active
+		if err := solveDecomposed(n, reqs, o, solveCfg{warm: warm, inc: inc}, sc, &sc.merged); err != nil {
+			t.Fatal(err)
+		}
+		return append([]slotVar(nil), sc.merged.vars...), append([]float64(nil), sc.merged.y...)
+	}
+	for s, active := range [][]int{first, second, second, second, first, first, first} {
+		pv, py := solve(active, prod, prodWarm)
+		rv, ry := solve(active, ref, refWarm)
+		if len(pv) != len(rv) {
+			t.Fatalf("slot %d: %d vars, reference %d", s, len(pv), len(rv))
+		}
+		for i := range py {
+			if pv[i].req != rv[i].req || pv[i].station != rv[i].station || pv[i].slot != rv[i].slot {
+				t.Fatalf("slot %d: var %d is %+v, reference %+v", s, i, pv[i], rv[i])
+			}
+			if math.Float64bits(py[i]) != math.Float64bits(ry[i]) {
+				t.Fatalf("slot %d: y[%d] = %v, reference re-solve %v", s, i, py[i], ry[i])
+			}
+		}
+	}
+	if st := prod.Stats(); st.CleanHits == 0 || st.FastFallback == 0 {
+		t.Fatalf("trace exercised neither replay nor the LP: %+v", st)
+	}
 }

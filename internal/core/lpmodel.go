@@ -54,15 +54,10 @@ type lpOptions struct {
 	stations []int
 	// names, when non-nil, interns row/column names across slots.
 	names *nameCache
-	// positional names variables and assign rows by the request's
-	// position within active instead of its global index. Consecutive
-	// slots of a long-running daemon assign fresh global ids to every
-	// arrival, so global names make structurally identical slot LPs look
-	// different; positional names make them bit-identical, which is what
-	// lets the incremental cache prove a component unchanged and the warm
-	// cache resolve a previous basis without any misses. Station indices
-	// (and cap rows) keep their global ids — stations are stable.
-	positional bool
+	// byIndex names variables and assign rows by the request's global
+	// index instead of its position within active (see buildLP). Only
+	// the offline rounding passes of Appro/Heu set it.
+	byIndex bool
 	// byReq, when non-nil, is used as the model's byReq backing instead of
 	// allocating one (entries for active requests must be length-0 and
 	// len(byReq) >= len(reqs)). Concurrent component builds share one
@@ -82,9 +77,25 @@ type lpOptions struct {
 //
 // Variables are created only for delay-feasible (j, i) pairs and slots
 // with positive expected reward ER_jil (Eq. (8)), which keeps the LP
-// compact. The paper's constraint (10) RHS is written 2*l*C_l; the
-// division by C_unit here converts it to data-rate units so both sides of
-// the inequality carry the same dimension.
+// compact.
+//
+// Variables and assign rows are named by the request's position within
+// active, not by its global index. Consecutive slots of a long-running
+// daemon assign fresh global ids to every arrival, so global names would
+// make structurally identical slot LPs look different; positional names
+// make them bit-identical, which is what lets the incremental cache prove
+// a component unchanged and the warm cache resolve a previous basis
+// without misses. Station indices (and cap rows) keep their global ids —
+// stations are stable. Offline Appro/Heu (opts.byIndex) name requests by
+// their global index instead: an instance's indices never change and no
+// cache compares their LPs across slots, so positional names buy nothing
+// there, while index names keep the warm bases a repeated run of an
+// experiment cell carries over resolving onto the same request indices as
+// they always have (which optimal vertex the rounding sees depends on it).
+//
+// The paper's constraint (10) RHS is written 2*l*C_l; the division by
+// C_unit here converts it to data-rate units so both sides of the
+// inequality carry the same dimension.
 func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, error) {
 	if n == nil {
 		return nil, ErrNilNetwork
@@ -127,9 +138,9 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 
 	for k, j := range active {
 		r := reqs[j]
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
+		name := k
+		if opts.byIndex {
+			name = j
 		}
 		wait := 0
 		if opts.waitSlots != nil {
@@ -150,7 +161,7 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 				if er <= 0 {
 					continue
 				}
-				v := prob.AddVariable(opts.names.yName(nameIdx, i, l), er)
+				v := prob.AddVariable(opts.names.yName(name, i, l), er)
 				idx := len(m.vars)
 				m.vars = append(m.vars, slotVar{req: j, station: i, slot: l, er: er, v: v})
 				m.byReq[j] = append(m.byReq[j], idx)
@@ -168,15 +179,15 @@ func buildLP(n *mec.Network, reqs []*mec.Request, opts lpOptions) (*lpModel, err
 		if len(m.byReq[j]) == 0 {
 			continue
 		}
-		nameIdx := j
-		if opts.positional {
-			nameIdx = k
+		name := k
+		if opts.byIndex {
+			name = j
 		}
 		terms := make([]lp.Term, 0, len(m.byReq[j]))
 		for _, idx := range m.byReq[j] {
 			terms = append(terms, lp.Term{Var: m.vars[idx].v, Coef: 1})
 		}
-		if _, err := prob.AddConstraint(opts.names.assignName(nameIdx), lp.LE, 1, terms...); err != nil {
+		if _, err := prob.AddConstraint(opts.names.assignName(name), lp.LE, 1, terms...); err != nil {
 			return nil, err
 		}
 	}

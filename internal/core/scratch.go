@@ -24,7 +24,7 @@ type slotScratch struct {
 	// per-request candidate station lists recorded during the
 	// splitComponents scan (flat list + offsets per active position,
 	// posOf maps global request index -> active position); consumed by
-	// the incremental signatures and the local-ratio certification.
+	// the incremental signatures.
 	cands   []int
 	candOff []int
 	posOf   []int

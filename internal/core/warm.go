@@ -24,7 +24,10 @@ type warmKey struct {
 // structurally closest to pass k of the next (same slot grid, similar
 // residual shape), and the per-component decomposition solves each shard
 // independently, so each worker warm-starts from its own shard's basis
-// without contending for the others.
+// without contending for the others. Lookups are exact-shard only: LP
+// columns are named by request position, so another shard's basis would
+// resolve onto a different component's requests and churn the chosen
+// vertex from slot to slot; a key seen for the first time solves cold.
 //
 // A nil *WarmCache is valid and disables warm starting. A non-nil cache
 // is safe for concurrent use by the solver worker pool: lookups take a
@@ -67,52 +70,6 @@ func (c *WarmCache) get(pass, shard int) *lp.Basis {
 	}
 	c.mu.RLock()
 	p := c.slots[warmKey{pass: pass, shard: shard}]
-	c.mu.RUnlock()
-	if p == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	b := p.Load()
-	if b == nil {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
-	return b
-}
-
-// getNear returns the stored basis for (pass, shard), falling back to the
-// same pass's entry with the nearest shard key when the exact key is
-// absent. Components are labeled by their smallest station, so the label
-// drifts when that station saturates out of the candidate graph; the
-// nearest stored basis still covers mostly the same rows and columns, and
-// the name-based resolution simply drops whatever no longer applies. The
-// fallback choice is deterministic (smallest distance, then smallest
-// shard). Safe for concurrent use, but determinism across worker counts
-// additionally requires that no put for the same pass runs concurrently —
-// solveDecomposed therefore resolves all seeds before its workers start.
-func (c *WarmCache) getNear(pass, shard int) *lp.Basis {
-	if c == nil {
-		return nil
-	}
-	c.mu.RLock()
-	p := c.slots[warmKey{pass: pass, shard: shard}]
-	if p == nil {
-		bestDist, bestShard := -1, -1
-		for k, cand := range c.slots {
-			if k.pass != pass || cand.Load() == nil {
-				continue
-			}
-			d := k.shard - shard
-			if d < 0 {
-				d = -d
-			}
-			if bestDist < 0 || d < bestDist || (d == bestDist && k.shard < bestShard) {
-				p = cand
-				bestDist, bestShard = d, k.shard
-			}
-		}
-	}
 	c.mu.RUnlock()
 	if p == nil {
 		c.misses.Add(1)

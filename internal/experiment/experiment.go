@@ -33,13 +33,6 @@ const (
 	AlgoGreedy    = "Greedy"
 	AlgoHeuKKT    = "HeuKKT"
 	AlgoDynamicRR = "DynamicRR"
-	// AlgoIncRR is DynamicRR with the dirty-component incremental
-	// re-solve on; decisions match AlgoDynamicRR-with-StableLP
-	// decision for decision (oracle.DiffIncrementalFull).
-	AlgoIncRR = "DynamicRR-Inc"
-	// AlgoLocalRatio is DynamicRR with the LP-free local-ratio fast
-	// path on dirty components (oracle.DiffLocalRatioLP pins parity).
-	AlgoLocalRatio = "LocalRatio"
 )
 
 // Errors returned by the harness.
@@ -208,10 +201,6 @@ func newScheduler(algo string) (sim.Scheduler, error) {
 	switch algo {
 	case AlgoDynamicRR:
 		return sim.NewDynamicRR(sim.DynamicRROptions{})
-	case AlgoIncRR:
-		return sim.NewDynamicRR(sim.DynamicRROptions{Incremental: true})
-	case AlgoLocalRatio:
-		return sim.NewDynamicRR(sim.DynamicRROptions{LocalRatio: true})
 	case AlgoOCORP:
 		return &sim.OnlineOCORP{}, nil
 	case AlgoGreedy:

@@ -18,14 +18,16 @@ import (
 // repeat a component); the curated tests treat it as a failure.
 var ErrNoCleanHits = errors.New("oracle: incremental run had no clean hits")
 
-// incRun executes one DynamicRR simulation with the given solve-mode
-// options and returns the result, the per-slot reward vector, and the
-// scheduler (for its incremental counters).
-func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) (*core.Result, []float64, *sim.DynamicRR, error) {
+// incRun executes one DynamicRR simulation and returns the result, the
+// per-slot reward vector, and the scheduler (for its incremental
+// counters). ref selects the reference solve; zero runs the production
+// path.
+func incRun(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions, ref core.Reference) (*core.Result, []float64, *sim.DynamicRR, error) {
 	sched, err := sim.NewDynamicRR(dopts)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	sched.Inc().UseReference(ref)
 	eng, err := sim.NewEngine(n, workload.Clone(reqs), rnd.New(seed, "engine"), cfg)
 	if err != nil {
 		return nil, nil, nil, err
@@ -56,28 +58,24 @@ func diffRuns(aName, bName string, a, b *core.Result, aRew, bRew []float64) erro
 }
 
 // DiffIncrementalFull is the incremental scheduler's correctness oracle:
-// it runs DynamicRR over the same workload twice — once re-solving every
-// component every slot (the StableLP baseline), once with the
-// dirty-component cache reusing clean components' decisions — and
-// requires the two runs to agree decision for decision: identical
-// admission tables, identical per-slot reward vectors, identical totals.
-// The engine's invariant checker stays installed in both runs. It also
-// demands the incremental run actually exercised the cache (CleanHits >
+// it runs DynamicRR over the same workload twice — once on the production
+// path, where the dirty-component cache replays clean components'
+// decisions, once on the core.NoReuse reference that re-solves every
+// component every slot (local-ratio fast path on in both) — and requires
+// the two runs to agree decision for decision: identical admission
+// tables, identical per-slot reward vectors, identical totals. The
+// engine's invariant checker stays installed in both runs. It also
+// demands the production run actually exercised the cache (CleanHits >
 // 0): a trace where every component is always dirty proves nothing.
 //
 // dopts carries the scheduler configuration both runs share (workers,
-// rounding denominator, bandit shape); its Incremental/LocalRatio/
-// StableLP fields are overridden per run.
+// rounding denominator, bandit shape).
 func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config, dopts sim.DynamicRROptions) error {
-	fullOpts := dopts
-	fullOpts.Incremental, fullOpts.LocalRatio, fullOpts.StableLP = false, false, true
-	full, fullRew, _, err := incRun(n, reqs, seed, cfg, fullOpts)
+	full, fullRew, _, err := incRun(n, reqs, seed, cfg, dopts, core.NoReuse)
 	if err != nil {
 		return fmt.Errorf("oracle: full re-solve run: %w", err)
 	}
-	incOpts := dopts
-	incOpts.Incremental, incOpts.LocalRatio, incOpts.StableLP = true, false, false
-	inc, incRew, sched, err := incRun(n, reqs, seed, cfg, incOpts)
+	inc, incRew, sched, err := incRun(n, reqs, seed, cfg, dopts, 0)
 	if err != nil {
 		return fmt.Errorf("oracle: incremental run: %w", err)
 	}
@@ -91,12 +89,13 @@ func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg si
 }
 
 // DiffLocalRatioLP is the fast path's correctness oracle: it runs
-// DynamicRR over the same workload twice — once through the warm-started
-// LP-PT on every component (StableLP baseline), once with the local-ratio
-// certification admitting components combinatorially — and requires
-// decision-for-decision agreement.
+// DynamicRR over the same workload twice — once on the core.NoReuse|
+// core.LPOnly reference that solves every component with the
+// warm-started LP-PT every slot, once on the production path, where the
+// local-ratio certification admits components combinatorially — and
+// requires decision-for-decision agreement.
 //
-// The trace must be *all-certified*: every component the fast-path run
+// The trace must be *all-certified*: every component the production run
 // examines must pass certification (FastFallback == 0, FastPath > 0), and
 // the function errors otherwise. The restriction is load-bearing, not
 // cosmetic: a certified component provably has a unique LP optimum, so
@@ -111,14 +110,12 @@ func DiffIncrementalFull(n *mec.Network, reqs []*mec.Request, seed int64, cfg si
 // fractional rounding would leave residual passes whose halved slot grid
 // rarely certifies.
 func DiffLocalRatioLP(n *mec.Network, reqs []*mec.Request, seed int64, cfg sim.Config) error {
-	base := sim.DynamicRROptions{RoundingDenominator: 1, StableLP: true}
-	lp, lpRew, _, err := incRun(n, reqs, seed, cfg, base)
+	opts := sim.DynamicRROptions{RoundingDenominator: 1}
+	lp, lpRew, _, err := incRun(n, reqs, seed, cfg, opts, core.NoReuse|core.LPOnly)
 	if err != nil {
 		return fmt.Errorf("oracle: LP-PT run: %w", err)
 	}
-	fast := base
-	fast.LocalRatio = true
-	lr, lrRew, sched, err := incRun(n, reqs, seed, cfg, fast)
+	lr, lrRew, sched, err := incRun(n, reqs, seed, cfg, opts, 0)
 	if err != nil {
 		return fmt.Errorf("oracle: local-ratio run: %w", err)
 	}

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"mecoffload/internal/dist"
@@ -44,21 +45,46 @@ func TestDiffIncrementalFullParallel(t *testing.T) {
 	}
 }
 
-// TestDiffIncrementalGenericWorkload runs the incremental diff over a
-// generated congested workload with the production rounding denominator.
-// Decision parity must hold unconditionally; whether the trace happens to
-// produce clean hits depends on the draw, so ErrNoCleanHits is tolerated
-// (the periodic tests above pin guaranteed reuse).
+// TestDiffIncrementalGenericWorkload runs the incremental diff over
+// generated workloads with the production rounding denominator. Decision
+// parity must hold unconditionally; whether a trace happens to produce
+// clean hits depends on the draw, so ErrNoCleanHits is tolerated (the
+// periodic tests above pin guaranteed reuse). The rows:
+//
+//   - congested: 80 requests over 25 slots on 8 stations.
+//   - bench-shape: the serving benchmark's shape — the connected
+//     20-station topology, about 18 Poisson arrivals per slot, so the
+//     candidate graph is one or two large components that are dirty
+//     almost every slot and the fast path rarely certifies.
 func TestDiffIncrementalGenericWorkload(t *testing.T) {
-	n := oracleNet(t, 8, 81)
-	reqs := oracleWorkload(t, workload.Config{
-		NumRequests:    80,
-		NumStations:    8,
-		ArrivalHorizon: 25,
-	}, 82)
-	err := DiffIncrementalFull(n, reqs, 83, sim.Config{Horizon: 60}, sim.DynamicRROptions{})
-	if err != nil && !errors.Is(err, ErrNoCleanHits) {
-		t.Fatal(err)
+	cases := []struct {
+		name           string
+		stations       int
+		requests, slot int
+		poisson        bool
+		horizon        int
+	}{
+		{name: "congested", stations: 8, requests: 80, slot: 25, horizon: 60},
+		{name: "bench-shape", stations: 20, requests: 360, slot: 20, poisson: true, horizon: 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := oracleNet(t, tc.stations, 81)
+			reqs := oracleWorkload(t, workload.Config{
+				NumRequests:    tc.requests,
+				NumStations:    tc.stations,
+				ArrivalHorizon: tc.slot,
+			}, 82)
+			if tc.poisson {
+				if err := workload.ApplyArrivals(reqs, workload.PoissonArrivals{}, tc.slot, rand.New(rand.NewSource(84))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := DiffIncrementalFull(n, reqs, 83, sim.Config{Horizon: tc.horizon}, sim.DynamicRROptions{})
+			if err != nil && !errors.Is(err, ErrNoCleanHits) {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

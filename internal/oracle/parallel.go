@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"reflect"
 
 	"mecoffload/internal/core"
 	"mecoffload/internal/mec"
@@ -25,20 +24,8 @@ func DiffParallelSequential(n *mec.Network, reqs []*mec.Request, seed int64, cfg
 		return fmt.Errorf("oracle: parallel diff needs workers >= 2, got %d", workers)
 	}
 	run := func(w int) (*core.Result, []float64, error) {
-		sched, err := sim.NewDynamicRR(sim.DynamicRROptions{Workers: w})
-		if err != nil {
-			return nil, nil, err
-		}
-		eng, err := sim.NewEngine(n, workload.Clone(reqs), rnd.New(seed, "engine"), cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		eng.SetStepChecker(EngineChecker())
-		res, err := eng.Run(sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, eng.SlotRewards(), nil
+		res, rew, _, err := incRun(n, reqs, seed, cfg, sim.DynamicRROptions{Workers: w}, 0)
+		return res, rew, err
 	}
 	seq, seqRew, err := run(1)
 	if err != nil {
@@ -48,55 +35,50 @@ func DiffParallelSequential(n *mec.Network, reqs []*mec.Request, seed int64, cfg
 	if err != nil {
 		return fmt.Errorf("oracle: parallel run (workers=%d): %w", workers, err)
 	}
-	if seq.TotalReward != par.TotalReward {
-		return fmt.Errorf("oracle: workers=1 total reward %v, workers=%d %v", seq.TotalReward, workers, par.TotalReward)
-	}
-	if !reflect.DeepEqual(seqRew, parRew) {
-		return fmt.Errorf("oracle: slot reward vectors diverge between workers=1 and workers=%d", workers)
-	}
-	for j := range seq.Decisions {
-		if !reflect.DeepEqual(seq.Decisions[j], par.Decisions[j]) {
-			return fmt.Errorf("oracle: decision %d diverges between workers=1 and workers=%d: %+v vs %+v",
-				j, workers, seq.Decisions[j], par.Decisions[j])
-		}
-	}
-	return nil
+	return diffRuns("workers=1", fmt.Sprintf("workers=%d", workers), seq, par, seqRew, parRew)
 }
 
 // DiffParallelSequentialOffline is the offline counterpart: one
-// core.Heu run per worker count over cloned requests and identical rngs.
-// Beyond decision parity it requires the fractional LP bound to match
-// exactly — the per-component objectives of the decomposed solve must
-// sum to the monolithic optimum, so any drift there means the
-// decomposition split a constraint it should not have.
+// core.Appro and one core.Heu run per worker count over cloned requests
+// and identical rngs. Beyond decision parity it requires the fractional
+// LP bound to match exactly — the per-component objectives of the
+// decomposed solve must sum to the monolithic optimum, so any drift there
+// means the decomposition split a constraint it should not have.
 func DiffParallelSequentialOffline(n *mec.Network, reqs []*mec.Request, seed int64, workers int) error {
 	if workers < 2 {
 		return fmt.Errorf("oracle: parallel diff needs workers >= 2, got %d", workers)
 	}
-	run := func(w int) (*core.Result, error) {
-		return core.Heu(n, workload.Clone(reqs), rnd.New(seed, "heu"), core.HeuOptions{
-			Warm:    core.NewWarmCache(),
-			Workers: w,
-		})
+	algos := []struct {
+		name string
+		run  func(w int) (*core.Result, error)
+	}{
+		{"Appro", func(w int) (*core.Result, error) {
+			return core.Appro(n, workload.Clone(reqs), rnd.New(seed, "appro"), core.ApproOptions{
+				Warm:    core.NewWarmCache(),
+				Workers: w,
+			})
+		}},
+		{"Heu", func(w int) (*core.Result, error) {
+			return core.Heu(n, workload.Clone(reqs), rnd.New(seed, "heu"), core.HeuOptions{
+				Warm:    core.NewWarmCache(),
+				Workers: w,
+			})
+		}},
 	}
-	seq, err := run(1)
-	if err != nil {
-		return fmt.Errorf("oracle: sequential Heu: %w", err)
-	}
-	par, err := run(workers)
-	if err != nil {
-		return fmt.Errorf("oracle: parallel Heu (workers=%d): %w", workers, err)
-	}
-	if seq.ExpectedLPBound != par.ExpectedLPBound {
-		return fmt.Errorf("oracle: workers=1 LP bound %v, workers=%d %v", seq.ExpectedLPBound, workers, par.ExpectedLPBound)
-	}
-	if seq.TotalReward != par.TotalReward {
-		return fmt.Errorf("oracle: workers=1 total reward %v, workers=%d %v", seq.TotalReward, workers, par.TotalReward)
-	}
-	for j := range seq.Decisions {
-		if !reflect.DeepEqual(seq.Decisions[j], par.Decisions[j]) {
-			return fmt.Errorf("oracle: decision %d diverges between workers=1 and workers=%d: %+v vs %+v",
-				j, workers, seq.Decisions[j], par.Decisions[j])
+	for _, a := range algos {
+		seq, err := a.run(1)
+		if err != nil {
+			return fmt.Errorf("oracle: sequential %s: %w", a.name, err)
+		}
+		par, err := a.run(workers)
+		if err != nil {
+			return fmt.Errorf("oracle: parallel %s (workers=%d): %w", a.name, workers, err)
+		}
+		if seq.ExpectedLPBound != par.ExpectedLPBound {
+			return fmt.Errorf("oracle: %s workers=1 LP bound %v, workers=%d %v", a.name, seq.ExpectedLPBound, workers, par.ExpectedLPBound)
+		}
+		if err := diffRuns(a.name+" workers=1", fmt.Sprintf("%s workers=%d", a.name, workers), seq, par, nil, nil); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -8,9 +8,10 @@ import (
 )
 
 // TestDiffParallelSequentialOnline drives DynamicRR over a congested
-// online workload with the per-slot LP solved sequentially and on a
-// 4-worker pool, requiring bit-identical decisions. Under the -race CI
-// job this also races the worker pool against the warm cache.
+// online workload with the per-slot LP solved sequentially and on 2- and
+// 8-worker pools, requiring bit-identical decisions. Under the -race CI
+// job this also races the worker pool against the warm cache and the
+// dirty-component cache.
 func TestDiffParallelSequentialOnline(t *testing.T) {
 	n := oracleNet(t, 8, 51)
 	reqs := oracleWorkload(t, workload.Config{
@@ -18,13 +19,15 @@ func TestDiffParallelSequentialOnline(t *testing.T) {
 		NumStations:    8,
 		ArrivalHorizon: 30,
 	}, 52)
-	if err := DiffParallelSequential(n, reqs, 53, sim.Config{Horizon: 50}, 4); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{2, 8} {
+		if err := DiffParallelSequential(n, reqs, 53, sim.Config{Horizon: 50}, w); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestDiffParallelSequentialOffline checks the offline Heu path: the
-// decomposed LP's summed component objectives must equal the
+// TestDiffParallelSequentialOffline checks the offline Appro and Heu
+// paths: the decomposed LP's summed component objectives must equal the
 // single-worker bound exactly, and every rounding decision must match.
 func TestDiffParallelSequentialOffline(t *testing.T) {
 	n := oracleNet(t, 8, 61)
@@ -32,8 +35,10 @@ func TestDiffParallelSequentialOffline(t *testing.T) {
 		NumRequests: 80,
 		NumStations: 8,
 	}, 62)
-	if err := DiffParallelSequentialOffline(n, reqs, 63, 4); err != nil {
-		t.Fatal(err)
+	for _, w := range []int{2, 8} {
+		if err := DiffParallelSequentialOffline(n, reqs, 63, w); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -74,8 +74,7 @@ type Config struct {
 	// Net is the MEC topology to serve (required).
 	Net *mec.Network
 	// SchedulerName selects the per-slot scheduler: "dynamicrr"
-	// (default), "local-ratio" (DynamicRR with the LP-free local-ratio
-	// fast path on), "ocorp", "greedy", or "heukkt". The engine
+	// (default), "ocorp", "greedy", or "heukkt". The engine
 	// constructs the scheduler itself so a checkpointed bandit state can
 	// be restored into it.
 	SchedulerName string
@@ -408,7 +407,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	if ck != nil {
-		if err := e.install(ck); err != nil {
+		if err := e.restore(ck); err != nil {
 			return nil, fmt.Errorf("serve: restoring checkpoint: %w", err)
 		}
 		e.seedRegistry(ck)
@@ -426,10 +425,7 @@ func New(cfg Config) (*Engine, error) {
 // threshold learner from a checkpointed snapshot when one is given.
 func buildScheduler(name string, opts sim.DynamicRROptions, snap *bandit.LipschitzSnapshot) (sim.Scheduler, error) {
 	switch name {
-	case "dynamicrr", "local-ratio":
-		if name == "local-ratio" {
-			opts.LocalRatio = true
-		}
+	case "dynamicrr":
 		if snap != nil {
 			lip, err := bandit.RestoreLipschitz(snap)
 			if err != nil {
@@ -482,18 +478,29 @@ func (e *Engine) installEmpty() error {
 	return nil
 }
 
+// restore seeds a booting engine from a checkpoint: the external id
+// allocator and the cumulative counters, then the planner (install).
+// Only New calls it, before the pump and HTTP callers exist.
+func (e *Engine) restore(ck *Checkpoint) error {
+	e.nextExt.Store(ck.NextExternalID)
+	e.metrics.restoreTotals(ck.Totals)
+	return e.install(ck)
+}
+
 // install rebuilds the planner from a checkpoint (or, during compaction,
 // from an in-memory checkpoint of the live set): live requests re-append
 // in arrival order under fresh dense internal ids, and in-flight streams
-// restore their exact ledger deltas.
+// restore their exact ledger deltas. It leaves the external id allocator
+// and the cumulative counters alone: the pump goroutine and HTTP callers
+// advance them concurrently with a compaction, so storing the snapshot's
+// values back would lose their increments and roll the allocator back
+// onto ids already handed out.
 func (e *Engine) install(ck *Checkpoint) error {
 	if err := e.installEmpty(); err != nil {
 		return err
 	}
 	e.slot = ck.Slot
-	e.nextExt.Store(ck.NextExternalID)
 	e.live = map[int]*liveEntry{}
-	e.metrics.restoreTotals(ck.Totals)
 	e.metrics.CurrentSlot.Store(int64(ck.Slot))
 
 	reqs := append([]CheckpointRequest(nil), ck.Requests...)
@@ -699,7 +706,7 @@ func (e *Engine) WarmStats() (hits, misses uint64) {
 }
 
 // IncStats returns the dirty-component tracker's counters (all zero for
-// schedulers without the incremental re-solve or the fast path).
+// schedulers without an LP path).
 func (e *Engine) IncStats() core.IncStats {
 	if d, ok := e.sched.(*sim.DynamicRR); ok {
 		return d.IncStats()

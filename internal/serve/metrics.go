@@ -191,9 +191,8 @@ type StationGauge struct {
 // (version 0.0.4). warmHits/warmMisses come from the scheduler's LP
 // warm-start cache; staged is the pump's overflow-stage depth; stations
 // come from the shards; inc carries the dirty-component tracker's
-// counters (all zero unless the scheduler runs incremental or
-// local-ratio mode, in which case the component-solve split shows how
-// often the slot skipped the LP).
+// counters (all zero until DynamicRR solved something), whose
+// component-solve split shows how often the slot skipped the LP.
 func (m *Metrics) WriteProm(w io.Writer, warmHits, warmMisses uint64, staged int64, stations []StationGauge, inc core.IncStats) error {
 	var err error
 	p := func(format string, args ...any) {
@@ -288,18 +287,11 @@ func (m *Metrics) WriteProm(w io.Writer, warmHits, warmMisses uint64, staged int
 	p("arserved_lp_warmstart_hit_ratio %g\n", ratio)
 
 	if inc != (core.IncStats{}) {
-		// In local-ratio-only mode the counters-only tracker never counts
-		// dirty solves, so the residual lp bucket clamps at zero there.
-		lpSolves := int64(inc.DirtySolves) - int64(inc.FastPath) - int64(inc.FastFallback)
-		if lpSolves < 0 {
-			lpSolves = 0
-		}
-		p("# HELP arserved_component_solves_total Per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, fallback failed certification, lp is a full component solve.\n")
+		p("# HELP arserved_component_solves_total Per-slot LP component decisions by path: clean replays the cached decision, local-ratio certifies and skips the LP, lp failed certification and solved the component LP.\n")
 		p("# TYPE arserved_component_solves_total counter\n")
 		p("arserved_component_solves_total{path=\"clean\"} %d\n", inc.CleanHits)
 		p("arserved_component_solves_total{path=\"local-ratio\"} %d\n", inc.FastPath)
-		p("arserved_component_solves_total{path=\"fallback\"} %d\n", inc.FastFallback)
-		p("arserved_component_solves_total{path=\"lp\"} %d\n", lpSolves)
+		p("arserved_component_solves_total{path=\"lp\"} %d\n", inc.FastFallback)
 	}
 
 	if len(stations) > 0 {
