@@ -292,8 +292,16 @@ type Cluster struct {
 	drainFlag    atomic.Bool
 	checkpoints  atomic.Uint64
 
-	migMu   sync.Mutex
-	journal []Migration
+	// sweepWork and sweepSettled are the migration sweep's worklist
+	// and pruning scratch (mu-guarded), reused across sweeps.
+	sweepWork    []spanCandidate
+	sweepSettled []uint64
+
+	// journal is a ring of at most journalCap entries whose oldest
+	// entry sits at journalHead (migMu-guarded).
+	migMu       sync.Mutex
+	journal     []Migration
+	journalHead int
 }
 
 // New builds a cluster: the station partition, one engine per shard,

@@ -17,6 +17,8 @@ package cluster_test
 // as the only parity surface.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -278,6 +280,78 @@ func TestClusterCheckpointReshard(t *testing.T) {
 	}
 }
 
+// TestRestoreIndentedCheckpoint pins the checkpoint format change:
+// manifests and shard snapshots are written as compact JSON, and a
+// checkpoint written indented (the format of earlier releases) still
+// restores every live request.
+func TestRestoreIndentedCheckpoint(t *testing.T) {
+	const islands, per = 4, 2
+	net := islandNetwork(t, islands, per)
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "cluster.json")
+	cfg := parityConfig(net, 2)
+	cfg.CheckpointPath = manifest
+	c, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	var ids []uint64
+	for isl := 0; isl < islands; isl++ {
+		id, _, err := c.Submit(serve.RequestSpec{
+			AccessStation: isl * per,
+			DurationSlots: 2,
+			Outcomes:      []serve.OutcomeSpec{{RateMBs: 40, Prob: 1, Reward: 500}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := c.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	<-c.Done()
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1+2 {
+		t.Fatalf("checkpoint dir holds %d files, want a manifest and 2 shard snapshots", len(entries))
+	}
+	for _, ent := range entries {
+		path := filepath.Join(dir, ent.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.ContainsRune(data, '\n') {
+			t.Fatalf("%s is not compact JSON:\n%s", ent.Name(), data)
+		}
+		var ind bytes.Buffer
+		if err := json.Indent(&ind, data, "", " "); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, ind.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rc, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatalf("restoring the indented checkpoint: %v", err)
+	}
+	rc.Start()
+	defer func() { _ = rc.Stop() }()
+	for _, id := range ids {
+		rec, ok, err := rc.Status(id)
+		if err != nil || !ok || rec.State != serve.StatePending {
+			t.Fatalf("restored request %d: (%+v, %v, %v), want pending", id, rec, ok, err)
+		}
+	}
+}
+
 // TestClusterHandlerMetrics drives the HTTP surface end to end and
 // checks the per-shard labeled exposition.
 func TestClusterHandlerMetrics(t *testing.T) {
@@ -310,6 +384,8 @@ func TestClusterHandlerMetrics(t *testing.T) {
 		`arserved_cluster_slot_duration_ms_count{shard="2"}`,
 		`arserved_cluster_migrations_total{shard="1",direction="in"} 0`,
 		`arserved_cluster_routed_total{path="fast"} 1`,
+		`arserved_cluster_sweep_worklist 0`,
+		`arserved_cluster_sweep_pruned_total 0`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, got)

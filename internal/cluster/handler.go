@@ -180,6 +180,14 @@ func (c *Cluster) WriteProm(w io.Writer) error {
 	p("arserved_cluster_routed_total{path=\"spanning\"} %d\n", rs.Spanning)
 	p("arserved_cluster_routed_total{path=\"no_candidate\"} %d\n", rs.NoCandidate)
 
+	p("# HELP arserved_cluster_sweep_worklist Spanning requests on the migration sweep's worklist, not yet seen settled.\n")
+	p("# TYPE arserved_cluster_sweep_worklist gauge\n")
+	p("arserved_cluster_sweep_worklist %d\n", rs.Worklist)
+
+	p("# HELP arserved_cluster_sweep_pruned_total Requests dropped from the migration sweep's worklist: settled, evicted from the routing table, or handed over.\n")
+	p("# TYPE arserved_cluster_sweep_pruned_total counter\n")
+	p("arserved_cluster_sweep_pruned_total %d\n", rs.Pruned)
+
 	p("# HELP arserved_cluster_checkpoints_total Cluster manifests written.\n")
 	p("# TYPE arserved_cluster_checkpoints_total counter\n")
 	p("arserved_cluster_checkpoints_total %d\n", c.checkpoints.Load())

@@ -70,7 +70,7 @@ type Checkpoint struct {
 // in the same directory, fsync, rename. A crash mid-write leaves the
 // previous checkpoint intact.
 func WriteCheckpoint(path string, ck *Checkpoint) error {
-	data, err := json.MarshalIndent(ck, "", " ")
+	data, err := json.Marshal(ck)
 	if err != nil {
 		return fmt.Errorf("serve: encoding checkpoint: %w", err)
 	}

@@ -94,6 +94,8 @@ type slotMsg struct {
 	events []requestEvent
 }
 
+// statusMsg travels by pointer (boxing a pointer in the shard's `any`
+// channel does not allocate) and is pooled with its reply channel.
 type statusMsg struct {
 	id    uint64
 	reply chan statusReply
@@ -149,7 +151,7 @@ func (s *shard) run() {
 				s.apply(ev)
 			}
 			s.evictOverflow()
-		case statusMsg:
+		case *statusMsg:
 			rec, ok := s.records[c.id]
 			var out statusReply
 			if ok {
